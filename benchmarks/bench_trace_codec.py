@@ -41,7 +41,12 @@ import time
 
 import pytest
 
-from repro.scenarios import CorruptionTrajectoryProbe, ObservationBus, SizeTrajectoryProbe
+from repro.scenarios import (
+    CallbackProbe,
+    CorruptionTrajectoryProbe,
+    ObservationBus,
+    SizeTrajectoryProbe,
+)
 from repro.trace import TraceProbe, TraceReader, replay_trace
 
 from common import run_once, scenario_for
@@ -96,11 +101,12 @@ def observation_micro(out_dir: str, events: int = 20000):
     """
     scenario = scenario_for(
         MAX_SIZE, INITIAL, tau=TAU, seed=SEED, name="codec-micro",
-        steps=400, keep_reports=True,
+        steps=400,
     )
     engine = scenario.build_engine()
-    runner = scenario.build_runner(engine=engine)
-    reports = runner.run(400).reports
+    capture = CallbackProbe(lambda _engine, report, _step: report)
+    scenario.build_runner(probes=[capture], engine=engine).run(400)
+    reports = capture.values
 
     rates = {}
     for label, trace_format, flush_every, buffered, probe_buffer in CONFIGS:

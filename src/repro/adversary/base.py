@@ -126,13 +126,6 @@ class Adversary(abc.ABC):
     def _restore_extra(self, extra: dict) -> None:
         """Subclass hook: inverse of :meth:`_snapshot_extra`."""
 
-    def run(self, engine: NowEngine, steps: int) -> List:
-        """Drive ``engine`` for ``steps`` time steps and return the reports."""
-        from ..scenarios.runner import SimulationRunner  # local import: avoids a cycle
-
-        runner = SimulationRunner(engine, self, keep_reports=True, name=self.name())
-        return runner.run(steps).reports
-
     def name(self) -> str:
         """Human-readable adversary name (used in experiment tables)."""
         return type(self).__name__

@@ -28,7 +28,6 @@ from .statistics import (
     RunningSummary,
     TrajectorySummary,
     mean_confidence,
-    summarize_fractions,
     summarize_values,
 )
 from .reporting import format_table, ExperimentTable
@@ -47,7 +46,6 @@ __all__ = [
     "RunningSummary",
     "mean_confidence",
     "TrajectorySummary",
-    "summarize_fractions",
     "summarize_values",
     "format_table",
     "ExperimentTable",

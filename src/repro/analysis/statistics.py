@@ -92,13 +92,6 @@ def summarize_values(values: Iterable[float], threshold: float = float("inf")) -
     )
 
 
-def summarize_fractions(
-    fractions: Iterable[float], threshold: float = 1.0 / 3.0
-) -> TrajectorySummary:
-    """Summarise a corruption-fraction trajectory against the one-third threshold."""
-    return summarize_values(fractions, threshold=threshold)
-
-
 #: Default bound on retained sample points before deterministic decimation
 #: (shared with the scenarios layer's probe ``series_cap`` default).
 DEFAULT_SAMPLE_CAP = 4096

@@ -48,10 +48,8 @@ class BaselineStepReport:
 class BaselineEngine(abc.ABC):
     """Common driving loop and observation API for baseline schemes."""
 
-    def __init__(self, state: SystemState, record_history: bool = True) -> None:
+    def __init__(self, state: SystemState) -> None:
         self.state = state
-        self.history: List[BaselineStepReport] = []
-        self._record_history = record_history
 
     # ------------------------------------------------------------------
     # Construction
@@ -174,10 +172,7 @@ class BaselineEngine(abc.ABC):
                 raise ConfigurationError("a leave event must name the departing node")
             self.state.nodes.mark_left(event.node_id, self.state.time_step)
             self.handle_leave(event.node_id)
-        report = self._snapshot(event)
-        if self._record_history:
-            self.history.append(report)
-        return report
+        return self._snapshot(event)
 
     def run_trace(self, events) -> List[BaselineStepReport]:
         """Apply a sequence of churn events."""

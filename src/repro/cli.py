@@ -3,13 +3,6 @@
 ``python -m repro.cli <command>`` runs a small, self-contained experiment and
 prints its table — useful for kicking the tyres without writing a script:
 
-* ``churn``   — bootstrap a NOW system and drive uniform churn, reporting the
-  corruption trajectory and per-operation costs (optionally saving the run as
-  JSON with ``--save``).
-* ``attack``  — run the join–leave attack against NOW and the no-shuffle
-  baseline and report who gets captured.
-* ``costs``   — sweep the maximum size ``N`` and report the measured cost of
-  join/leave operations with their fitted growth exponents.
 * ``run-scenario`` — execute a named preset or JSON-spec
   :class:`~repro.scenarios.scenario.Scenario` through the
   :class:`~repro.scenarios.runner.SimulationRunner` and print the result
@@ -48,23 +41,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import random
 import signal
 import sys
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from . import NowEngine, default_parameters
-from .adversary import JoinLeaveAttack
 from .errors import ConfigurationError
-from .analysis import fit_power_law, format_table, summarize_fractions
-from .baselines import NoShuffleEngine
+from .analysis import format_table
 from .experiments import AGGREGATED_METRICS, SweepRunner, SweepSpec
 from .scenarios import (
     NAMED_SCENARIOS,
     CorruptionTrajectoryProbe,
     CostLedgerProbe,
     Scenario,
-    SimulationRunner,
     named_scenario,
 )
 from .scenarios.bus import DEFAULT_PROBE_BUFFER
@@ -80,8 +68,6 @@ from .trace import (
     trace_diff,
 )
 from .walks.kernel import KERNEL_NAMES
-from .workloads import MixedDriver, UniformChurn, drive
-from .workloads.record import RunRecord
 
 #: The `load` command's default operation mix.  Kept as a named constant so
 #: `--sessions lognormal` can tell "user left the default" (switch to the
@@ -97,30 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=1, help="random seed (default: 1)")
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    churn = subparsers.add_parser("churn", help="uniform churn on a NOW system")
-    churn.add_argument("--max-size", type=int, default=4096, help="name-space size N")
-    churn.add_argument("--initial-size", type=int, default=300, help="initial population")
-    churn.add_argument("--tau", type=float, default=0.15, help="Byzantine fraction")
-    churn.add_argument("--steps", type=int, default=200, help="churn steps to run")
-    churn.add_argument("--k", type=float, default=3.0, help="cluster security parameter")
-    churn.add_argument("--save", type=str, default=None, help="save the run record to this JSON file")
-
-    attack = subparsers.add_parser("attack", help="join-leave attack: NOW vs no shuffling")
-    attack.add_argument("--max-size", type=int, default=4096)
-    attack.add_argument("--initial-size", type=int, default=260)
-    attack.add_argument("--tau", type=float, default=0.2)
-    attack.add_argument("--steps", type=int, default=250)
-
-    costs = subparsers.add_parser("costs", help="operation cost sweep over N")
-    costs.add_argument(
-        "--sizes",
-        type=int,
-        nargs="+",
-        default=[256, 1024, 4096, 16384],
-        help="values of N to sweep",
-    )
-    costs.add_argument("--operations", type=int, default=15, help="joins and leaves per size")
 
     scenario = subparsers.add_parser(
         "run-scenario", help="run a named or JSON-spec scenario through the SimulationRunner"
@@ -433,113 +395,6 @@ def _terminate_as_interrupt() -> Iterator[None]:
 # ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
-def run_churn(args: argparse.Namespace) -> int:
-    params = default_parameters(max_size=args.max_size, k=args.k, tau=args.tau, epsilon=0.05)
-    engine = NowEngine.bootstrap(
-        params, initial_size=args.initial_size, byzantine_fraction=args.tau, seed=args.seed
-    )
-    workload = UniformChurn(random.Random(args.seed + 1), byzantine_join_fraction=args.tau)
-    drive(engine, workload, steps=args.steps)
-
-    summary = summarize_fractions(
-        [report.worst_byzantine_fraction for report in engine.history]
-    )
-    print(f"NOW under uniform churn: N={args.max_size}, tau={args.tau}, {args.steps} steps")
-    print(
-        format_table(
-            ["n (final)", "#clusters", "mean worst corruption", "max worst", "steps >= 1/3"],
-            [[
-                engine.network_size,
-                engine.cluster_count,
-                f"{summary.mean:.3f}",
-                f"{summary.maximum:.3f}",
-                summary.steps_above_threshold,
-            ]],
-        )
-    )
-    join_scope = engine.metrics.scope("join")
-    leave_scope = engine.metrics.scope("leave")
-    print(
-        format_table(
-            ["operation", "messages", "rounds"],
-            [
-                ["join (total)", join_scope.messages, join_scope.rounds],
-                ["leave (total)", leave_scope.messages, leave_scope.rounds],
-            ],
-        )
-    )
-    invariants = engine.check_invariants(check_honest_majority=False)
-    print(f"structural invariants: {'OK' if invariants.holds else invariants.violations}")
-    if args.save:
-        RunRecord.from_engine(engine, label=f"churn-N{args.max_size}-tau{args.tau}").save(args.save)
-        print(f"run record saved to {args.save}")
-    return 0
-
-
-def run_attack(args: argparse.Namespace) -> int:
-    params = default_parameters(max_size=args.max_size, k=3.0, tau=args.tau, epsilon=0.05)
-    rows = []
-    for label, engine in (
-        (
-            "NOW (full exchange)",
-            NowEngine.bootstrap(
-                params, initial_size=args.initial_size, byzantine_fraction=args.tau, seed=args.seed
-            ),
-        ),
-        (
-            "no shuffling",
-            NoShuffleEngine.bootstrap(
-                params, initial_size=args.initial_size, byzantine_fraction=args.tau, seed=args.seed
-            ),
-        ),
-    ):
-        target = engine.state.clusters.cluster_ids()[0]
-        attack = JoinLeaveAttack(random.Random(args.seed + 2), target_cluster=target)
-        background = UniformChurn(random.Random(args.seed + 3), byzantine_join_fraction=args.tau)
-        driver = MixedDriver([(attack, 0.6), (background, 0.4)], random.Random(args.seed + 4))
-        probe = CorruptionTrajectoryProbe(target_cluster=target)
-        SimulationRunner(engine, driver, probes=[probe], name=label).run(args.steps)
-        captured_at = probe.first_step_at_threshold
-        rows.append(
-            [label, f"{probe.peak:.3f}", captured_at if captured_at is not None else "never"]
-        )
-    print(f"Join-leave attack on one target cluster ({args.steps} steps, tau={args.tau})")
-    print(format_table(["scheme", "peak target corruption", "first step >= 1/3"], rows))
-    return 0
-
-
-def run_costs(args: argparse.Namespace) -> int:
-    rows = []
-    join_means: List[float] = []
-    leave_means: List[float] = []
-    for index, max_size in enumerate(args.sizes):
-        params = default_parameters(max_size=max_size, k=3.0, tau=0.1, epsilon=0.05)
-        initial = max(3 * params.target_cluster_size, int(4 * max_size ** 0.5))
-        engine = NowEngine.bootstrap(
-            params, initial_size=initial, byzantine_fraction=0.1, seed=args.seed + index
-        )
-        join_costs = [engine.join().operation.messages for _ in range(args.operations)]
-        leave_costs = [
-            engine.leave(engine.random_member()).operation.messages
-            for _ in range(args.operations)
-        ]
-        join_mean = sum(join_costs) / len(join_costs)
-        leave_mean = sum(leave_costs) / len(leave_costs)
-        join_means.append(join_mean)
-        leave_means.append(leave_mean)
-        rows.append([max_size, int(join_mean), int(leave_mean)])
-    print("Measured per-operation message cost")
-    print(format_table(["N", "join msgs (mean)", "leave msgs (mean)"], rows))
-    if len(args.sizes) >= 2:
-        join_fit = fit_power_law(args.sizes, join_means)
-        leave_fit = fit_power_law(args.sizes, leave_means)
-        print(
-            f"growth exponents in N: join {join_fit.exponent:.2f}, leave {leave_fit.exponent:.2f} "
-            "(polylog growth shows up as an exponent well below 1)"
-        )
-    return 0
-
-
 def run_scenario_command(args: argparse.Namespace) -> int:
     if args.list:
         rows = [
@@ -853,7 +708,6 @@ def run_serve_command(args: argparse.Namespace) -> int:
         sharded_live_scenario,
     )
     from .service.sharded import DEFAULT_SERVICE_SHARDS
-    from .shard import ShardWorkerError
 
     if args.shards < 0:
         print("serve: --shards must be >= 0 (0 = classic backend)", file=sys.stderr)
@@ -947,19 +801,21 @@ def run_serve_command(args: argparse.Namespace) -> int:
         # through the crash path: flushed, no end frame.
         interrupted = True
         session.close(ok=False)
-    except ShardWorkerError as error:
-        # The frontend already failed in-flight requests with 'failed' and
-        # sealed the trace crashed-shape; report the death and exit non-zero.
-        print(f"serve: shard worker died: {error}", file=sys.stderr)
+    except (ConfigurationError, OSError) as error:
+        print(f"serve: {error}", file=sys.stderr)
+        return 2
+    except Exception as error:
+        # The engine pump failed on the write path (a shard worker died, or
+        # the engine raised mid-event).  The frontend already failed
+        # in-flight requests with 'failed' and sealed the trace
+        # crashed-shape; report it and exit non-zero.
+        print(f"serve: engine pump failed: {error!r}", file=sys.stderr)
         if args.record:
             print(
                 f"trace sealed without end frame (crashed-run shape): {args.record}",
                 file=sys.stderr,
             )
         return 1
-    except (ConfigurationError, OSError) as error:
-        print(f"serve: {error}", file=sys.stderr)
-        return 2
 
     print(
         f"served {session.events_applied} churn event(s), "
@@ -1098,12 +954,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "churn":
-        return run_churn(args)
-    if args.command == "attack":
-        return run_attack(args)
-    if args.command == "costs":
-        return run_costs(args)
     if args.command == "run-scenario":
         return run_scenario_command(args)
     if args.command == "run-sweep":

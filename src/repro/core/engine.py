@@ -9,9 +9,12 @@ downstream user (or an experiment harness) needs:
 * ``byzantine_fractions`` / ``worst_cluster_fraction`` / ``cluster_sizes`` —
   observe the quantities Theorem 3 and Lemmas 1–3 are about,
 * ``metrics`` — the per-operation communication/round ledgers behind every
-  cost figure produced by the benchmarks under ``benchmarks/``,
-* ``history`` — optional per-time-step records for plotting corruption and
-  size trajectories.
+  cost figure produced by the benchmarks under ``benchmarks/``.
+
+Per-step trajectories are not kept on the engine: ``apply_event`` returns one
+:class:`MaintenanceReport` per event, and long runs observe those through the
+:class:`~repro.scenarios.runner.SimulationRunner` probes and the trace layer,
+so engine memory stays flat however many events a run applies.
 
 Construction: either :meth:`NowEngine.bootstrap` (convenience: builds the
 population, runs initialization, returns the engine) or by passing an already
@@ -78,7 +81,6 @@ class EngineConfig:
     walk_kernel: str = "naive"
     cascade_exchanges: bool = True
     strict_compromise: bool = False
-    record_history: bool = True
     enforce_size_range: bool = False
 
 
@@ -105,7 +107,6 @@ class NowEngine:
             self._exchange,
             cascade_exchanges=self.config.cascade_exchanges,
         )
-        self.history: List[MaintenanceReport] = []
         self.initialization_report: Optional[InitializationReport] = None
 
     # ------------------------------------------------------------------
@@ -146,8 +147,6 @@ class NowEngine:
         ``repro.trace`` checkpoint contract: a restored engine continues the
         run bit-identically to the original (same events in, same RNG draws,
         same states) — property-tested in ``tests/test_trace_checkpoint.py``.
-        ``history`` is deliberately not captured; million-event runs disable
-        it, and a resumed engine records history from the resume point on.
         """
         return {
             "format": 1,
@@ -156,7 +155,6 @@ class NowEngine:
                 "walk_kernel": self.config.walk_kernel,
                 "cascade_exchanges": self.config.cascade_exchanges,
                 "strict_compromise": self.config.strict_compromise,
-                "record_history": self.config.record_history,
                 "enforce_size_range": self.config.enforce_size_range,
             },
             "state": self.state.snapshot_state(),
@@ -170,6 +168,9 @@ class NowEngine:
         config_data["walk_mode"] = WalkMode(config_data["walk_mode"])
         # Checkpoints from before the kernel option default to the naive path.
         config_data.setdefault("walk_kernel", "naive")
+        # Retired switch that older checkpoints still carry; it never
+        # affected simulated state.
+        config_data.pop("record_history", None)
         state = SystemState.restore_state(snapshot["state"])
         engine = cls(state, config=EngineConfig(**config_data))
         engine._randcl.restore_state(snapshot.get("randcl", {}))
@@ -282,8 +283,6 @@ class NowEngine:
         if self.config.enforce_size_range:
             self._check_size_range()
         report = self._snapshot(event, operation)
-        if self.config.record_history:
-            self.history.append(report)
         if self.config.strict_compromise and report.compromised_clusters:
             worst = self.worst_cluster_fraction()
             raise ClusterCompromisedError(

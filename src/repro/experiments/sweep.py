@@ -15,8 +15,8 @@ X under parameters P with seed s" into a first-class, parallelisable unit:
   ``concurrent.futures.ProcessPoolExecutor`` (scenario runs share no state,
   so they parallelise embarrassingly; ``workers <= 1`` runs inline, which
   tests and debugging use).  Each worker builds the scenario, attaches the
-  standard probes, runs it, and ships back a plain-dict
-  :class:`SweepRunRecord` (picklable by construction).
+  standard probes, runs it, and ships back a plain-dict run record
+  (:func:`run_sweep_payload`; picklable by construction).
 * :class:`SweepResult` — the records plus per-grid-point aggregation:
   mean / sample std / 95% CI over seeds for every numeric metric, via
   :func:`repro.analysis.statistics.mean_confidence`.

@@ -114,7 +114,6 @@ class RunResult:
     compromised_clusters: List[ClusterId]
     stop_reason: str
     probes: Dict[str, Any] = field(default_factory=dict)
-    reports: List = field(default_factory=list)
     #: Logical shard count of a sharded run (0 for the classic single-engine
     #: path); under sharding, ``compromised_clusters`` holds
     #: ``(shard, cluster_id)`` pairs because cluster ids are shard-local.
@@ -174,10 +173,6 @@ class SimulationRunner:
         Stop after this many consecutive idle steps (a finite workload such
         as pure growth idles forever once its target is reached); ``None``
         keeps looping through idle steps.
-    keep_reports:
-        Collect the engine's per-step reports into the result (off by
-        default: long runs keep memory flat through the engine's own
-        ``record_history`` switch instead).
     probe_buffer:
         Events between deliveries to buffered (non-inline) probes — the
         :class:`~repro.scenarios.bus.ObservationBus` batch size.  Inline
@@ -192,7 +187,6 @@ class SimulationRunner:
         probes: Sequence[Probe] = (),
         stop_conditions: Sequence[StopCondition] = (),
         max_idle_streak: Optional[int] = None,
-        keep_reports: bool = False,
         name: str = "scenario",
         probe_buffer: int = DEFAULT_PROBE_BUFFER,
     ) -> None:
@@ -213,7 +207,6 @@ class SimulationRunner:
             raise ConfigurationError(str(error)) from None
         self.stop_conditions: List[StopCondition] = list(stop_conditions)
         self.max_idle_streak = max_idle_streak
-        self.keep_reports = keep_reports
         self.name = name
         #: The raw event source (exposed so checkpointing can snapshot its
         #: RNG streams alongside the engine state — see ``repro.trace``).
@@ -251,7 +244,6 @@ class SimulationRunner:
         executed = 0
         stop_reason = "steps exhausted"
         peak_worst = 0.0
-        reports: List = []
         started_at = time.perf_counter()
         try:
             for step_index in range(1, steps + 1):
@@ -270,8 +262,6 @@ class SimulationRunner:
                 self.total_events += 1
                 if report.worst_byzantine_fraction > peak_worst:
                     peak_worst = report.worst_byzantine_fraction
-                if self.keep_reports:
-                    reports.append(report)
                 publish(report, step_index)
                 reason = self._evaluate_stop(engine, report, step_index)
                 if reason is not None:
@@ -299,7 +289,6 @@ class SimulationRunner:
             compromised_clusters=list(engine.compromised_clusters()),
             stop_reason=stop_reason,
             probes={probe.name: probe.result() for probe in self.probes},
-            reports=reports,
         )
 
     def _evaluate_stop(self, engine, report, step_index: int) -> Optional[str]:

@@ -87,7 +87,6 @@ class Scenario:
     adversary_weight: float = 0.6
     engine_options: Dict[str, Any] = field(default_factory=dict)
     max_idle_streak: Optional[int] = None
-    keep_reports: bool = False
     #: Logical shard count: 0 runs the classic single engine; >= 1 runs the
     #: scenario as that many shard engines under ``repro.shard``.  A semantic
     #: field — changing it changes results — unlike the *worker* count, which
@@ -208,7 +207,6 @@ class Scenario:
             probes=probes,
             stop_conditions=stop_conditions,
             max_idle_streak=self.max_idle_streak,
-            keep_reports=self.keep_reports,
             name=self.name,
             probe_buffer=probe_buffer,
         )
@@ -252,7 +250,17 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Scenario":
-        """Build a scenario from its plain-dict form (unknown keys rejected)."""
+        """Build a scenario from its plain-dict form (unknown keys rejected).
+
+        The retired switches ``keep_reports`` and ``engine_options.
+        record_history``, which older checkpoints and trace headers still
+        carry, are dropped: neither ever affected simulated state.
+        """
+        data = dict(data)
+        data.pop("keep_reports", None)
+        if "record_history" in (data.get("engine_options") or {}):
+            data["engine_options"] = dict(data["engine_options"])
+            del data["engine_options"]["record_history"]
         known = set(cls.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:

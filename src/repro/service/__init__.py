@@ -35,12 +35,13 @@ from .protocol import (
     parse_request,
 )
 from .queue import DEFAULT_MAX_QUEUE, RequestQueue
-from .session import SERVICE_RNG_OFFSET, LiveEngineSession, live_scenario
-from .sharded import (
+from .session import (
     SERVICE_READ_RNG_OFFSET,
-    ShardedLiveSession,
-    sharded_live_scenario,
+    SERVICE_RNG_OFFSET,
+    LiveEngineSession,
+    live_scenario,
 )
+from .sharded import ShardedLiveSession, sharded_live_scenario
 
 __all__ = [
     "DEFAULT_MAX_BATCH",

@@ -7,11 +7,14 @@ event loop (stdlib ``asyncio`` only — no new dependencies):
   the newline-delimited JSON protocol of :mod:`repro.service.protocol`;
 * the bounded :class:`~repro.service.queue.RequestQueue` every connection
   funnels into (full queue → immediate ``overloaded`` response);
-* the **engine pump**: one background task that drains the queue in batches
-  of up to ``max_batch`` requests, executes them serially on the
-  :class:`~repro.service.session.LiveEngineSession`, and resolves each
-  request's future — then yields to the loop so socket I/O interleaves
-  with engine work instead of starving behind it.
+* the **engine pump**: one background task that drains the queue's two
+  lanes in batches of up to ``max_batch`` requests — writes (join/leave)
+  as one window through the session's ``begin_window``/``finish_window``,
+  reads (:data:`~repro.service.protocol.READ_OPS`) beside it — resolves
+  each request's future, then yields to the loop so socket I/O interleaves
+  with engine work instead of starving behind it.  The same loop serves
+  :class:`~repro.service.session.LiveEngineSession` and
+  :class:`~repro.service.sharded.ShardedLiveSession`.
 
 Responses are matched to requests by the echoed ``id``, not by order:
 each request gets its own small responder task, so a pipelined connection
@@ -24,6 +27,9 @@ Shutdown is graceful by default: new work is refused with
 through the engine, responders finish writing, and the session seals its
 trace with the final state hash.  A crashed pump seals the trace through
 the abort path instead (flushed, no end frame — the crashed-run shape).
+
+A request line longer than :data:`MAX_FRAME_BYTES` is answered
+``bad_request`` and its connection closed.
 """
 
 from __future__ import annotations
@@ -34,11 +40,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Set
 
-from ..shard.worker import ShardWorkerError
 from .protocol import (
+    ERROR_BAD_REQUEST,
     ERROR_FAILED,
     ERROR_OVERLOADED,
     ERROR_SHUTTING_DOWN,
+    READ_OPS,
     ProtocolError,
     encode_frame,
     error_response,
@@ -50,6 +57,10 @@ from .session import LiveEngineSession
 
 #: Default number of queued requests the pump executes per engine batch.
 DEFAULT_MAX_BATCH = 64
+
+#: Longest request line a connection may send, newline included (the
+#: ``StreamReader`` buffer limit).
+MAX_FRAME_BYTES = 64 * 1024
 
 #: Queue lanes: writes are ordered and windowed, reads ride beside them.
 WRITE_LANE = 0
@@ -66,7 +77,7 @@ class _Pending:
 
 
 class ServiceFrontend:
-    """Serves a :class:`LiveEngineSession` over TCP."""
+    """Serves a live session (classic or sharded) over TCP."""
 
     def __init__(
         self,
@@ -82,9 +93,6 @@ class ServiceFrontend:
         self.host = host
         self.port = port
         self.max_batch = max_batch
-        #: Ops the session serves off the write window's path (empty on the
-        #: classic single-engine session — everything stays in lane 0).
-        self.read_lane_ops = frozenset(getattr(session, "read_lane_ops", ()))
         self.queue = RequestQueue(maxsize=max_queue, lanes=2)
         self.connections_served = 0
         self.responses_sent = 0
@@ -104,7 +112,7 @@ class ServiceFrontend:
         """Bind the socket and start the engine pump."""
         self.session.start()
         self._server = await asyncio.start_server(
-            self._handle_connection, host=self.host, port=self.port
+            self._handle_connection, host=self.host, port=self.port, limit=MAX_FRAME_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._pump_task = asyncio.create_task(self._pump())
@@ -163,80 +171,81 @@ class ServiceFrontend:
     async def _pump(self) -> None:
         """Drain → execute → resolve until the queue closes.
 
-        Classic sessions run the single-engine loop; sessions marked
-        ``windowed`` (the sharded backend) run the two-lane windowed loop.
-        A fatal pump error — a shard worker dying is the expected one —
-        fails every request still queued (error code ``failed``, never a
-        hung connection) and triggers shutdown; :meth:`stop` re-raises it
-        after sealing the trace in crashed-run shape.
+        Each iteration drains both lanes, hands the write batch to the
+        session (``begin_window``; the sharded backend only dispatches it
+        to the workers), serves whatever reads need no worker round trip
+        *while the window executes*, then collects the window
+        (``finish_window``) and serves the deferred reads from the new
+        state.  An exception on the write path other than a request's
+        :class:`ProtocolError` — a shard worker dying is the expected one
+        — is fatal: every request of the batch and everything still
+        queued is answered ``failed`` (never a hung connection) and the
+        serve loop shuts down; :meth:`stop` re-raises it after sealing the
+        trace in crashed-run shape.
         """
+        session = self.session
         try:
-            if getattr(self.session, "windowed", False):
-                await self._pump_windowed()
-            else:
-                await self._pump_classic()
+            while True:
+                await self.queue.wait()
+                writes = self.queue.drain(self.max_batch, lane=WRITE_LANE)
+                reads = self.queue.drain(self.max_batch, lane=READ_LANE)
+                if not writes and not reads:
+                    if self.queue.closed:
+                        return
+                    continue
+                try:
+                    handle = session.begin_window([p.frame for p in writes]) if writes else None
+                    deferred = []
+                    for pending in reads:
+                        if handle is not None and not session.read_ready(pending.frame["op"]):
+                            deferred.append(pending)
+                        else:
+                            self._execute_read(pending)
+                    if handle is not None:
+                        outcomes = session.finish_window(handle)
+                        for pending, outcome in zip(writes, outcomes):
+                            self._resolve(pending, outcome)
+                    for pending in deferred:
+                        self._execute_read(pending)
+                except Exception as error:
+                    self._fail_batch(
+                        writes + reads, f"engine failed executing this window: {error}"
+                    )
+                    raise
+                await asyncio.sleep(0)
         except BaseException as error:
             self._pump_error = error
             self.request_shutdown(f"engine pump failed: {error}")
             self._abort_queued(f"engine pump failed: {error}")
             raise
 
-    async def _pump_classic(self) -> None:
-        """The single-engine loop: everything executes in admission order."""
-        while True:
-            await self.queue.wait()
-            batch = self.queue.drain(self.max_batch, lane=WRITE_LANE)
-            batch += self.queue.drain(self.max_batch, lane=READ_LANE)
-            if not batch:
-                if self.queue.closed:
-                    return
-                continue
-            for pending in batch:
-                self._execute_one(pending)
-            # Yield so readers/writers run between engine batches.
-            await asyncio.sleep(0)
+    def _execute_read(self, pending: _Pending) -> None:
+        """Serve one read-lane request.
 
-    async def _pump_windowed(self) -> None:
-        """The sharded loop: windowed writes, reads served during execution.
-
-        Each iteration drains both lanes, dispatches the write batch to the
-        shard workers (``begin_window`` — send half only), serves whatever
-        read traffic does not need a worker round trip *while the workers
-        execute the window*, then collects the window (``finish_window``)
-        and serves the deferred reads from the freshly merged state.
+        A read never changes engine state, so an unexpected failure answers
+        this request alone and the server keeps serving.
         """
-        session = self.session
-        while True:
-            await self.queue.wait()
-            writes = self.queue.drain(self.max_batch, lane=WRITE_LANE)
-            reads = self.queue.drain(self.max_batch, lane=READ_LANE)
-            if not writes and not reads:
-                if self.queue.closed:
-                    return
-                continue
-            try:
-                handle = session.begin_window([p.frame for p in writes]) if writes else None
-                deferred = []
-                for pending in reads:
-                    if handle is not None and not session.read_ready(pending.frame["op"]):
-                        deferred.append(pending)
-                    else:
-                        self._execute_one(pending)
-                if handle is not None:
-                    outcomes = session.finish_window(handle)
-                    for pending, outcome in zip(writes, outcomes):
-                        self._resolve_windowed(pending, outcome)
-                for pending in deferred:
-                    self._execute_one(pending)
-            except ShardWorkerError:
-                self._fail_batch(
-                    writes + reads, "a shard worker died executing this window"
-                )
-                raise
-            await asyncio.sleep(0)
+        op = pending.frame["op"]
+        try:
+            outcome = self.session.execute(pending.frame)
+            if op == "status":
+                outcome["queue"] = {
+                    "depth": len(self.queue),
+                    "bound": self.queue.maxsize,
+                    "accepted": self.queue.accepted,
+                    "rejected": self.queue.rejected,
+                }
+        except ProtocolError as error:
+            outcome = error
+        except Exception as error:
+            print(f"service: {op} request failed: {error!r}", file=sys.stderr)
+            outcome = ProtocolError(ERROR_FAILED, f"internal error: {error}")
+        self._resolve(pending, outcome)
 
-    def _resolve_windowed(self, pending: "_Pending", outcome: Any) -> None:
-        """Resolve one write-lane request from its window outcome."""
+    def _resolve(self, pending: _Pending, outcome: Any) -> None:
+        """Answer one request with its result dict or :class:`ProtocolError`."""
+        if pending.future.done():
+            return
         frame = pending.frame
         request_id = frame.get("id")
         op = frame["op"]
@@ -247,22 +256,12 @@ class ServiceFrontend:
         response["latency_ms"] = round(
             (time.perf_counter() - pending.enqueued_at) * 1000.0, 3
         )
-        if not pending.future.done():
-            pending.future.set_result(response)
+        pending.future.set_result(response)
 
     def _fail_batch(self, batch, message: str) -> None:
         """Answer every unresolved request of a batch with ``failed``."""
         for pending in batch:
-            if pending.future.done():
-                continue
-            frame = pending.frame
-            response = error_response(
-                frame.get("id"), frame["op"], ERROR_FAILED, message
-            )
-            response["latency_ms"] = round(
-                (time.perf_counter() - pending.enqueued_at) * 1000.0, 3
-            )
-            pending.future.set_result(response)
+            self._resolve(pending, ProtocolError(ERROR_FAILED, message))
 
     def _abort_queued(self, message: str) -> None:
         """Close the queue and fail everything still waiting in it.
@@ -276,34 +275,6 @@ class ServiceFrontend:
         for lane in range(self.queue.lanes):
             leftovers += self.queue.drain(len(self.queue) + 1, lane=lane)
         self._fail_batch(leftovers, message)
-
-    def _execute_one(self, pending: _Pending) -> None:
-        frame = pending.frame
-        request_id = frame.get("id")
-        op = frame["op"]
-        try:
-            result = self.session.execute(frame)
-            if op == "status":
-                result["queue"] = {
-                    "depth": len(self.queue),
-                    "bound": self.queue.maxsize,
-                    "accepted": self.queue.accepted,
-                    "rejected": self.queue.rejected,
-                }
-            response = ok_response(request_id, op, result)
-        except ProtocolError as error:
-            response = error_response(request_id, op, error.code, error.message)
-        except Exception as error:
-            # An unexpected engine failure answers this request and keeps
-            # serving; determinism-critical failures would have been raised
-            # by the pre-flight checks before touching the engine.
-            print(f"service: {op} request failed: {error!r}", file=sys.stderr)
-            response = error_response(request_id, op, ERROR_FAILED, f"internal error: {error}")
-        response["latency_ms"] = round(
-            (time.perf_counter() - pending.enqueued_at) * 1000.0, 3
-        )
-        if not pending.future.done():
-            pending.future.set_result(response)
 
     # ------------------------------------------------------------------
     # Connections
@@ -320,7 +291,23 @@ class ServiceFrontend:
             task.add_done_callback(self._connections.discard)
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # The line overran MAX_FRAME_BYTES.  asyncio may have
+                    # dropped only part of it, so the stream cannot be
+                    # trusted to resynchronise: answer and hang up.
+                    await self._write(
+                        writer,
+                        write_lock,
+                        error_response(
+                            None,
+                            None,
+                            ERROR_BAD_REQUEST,
+                            f"request line exceeds {MAX_FRAME_BYTES} bytes",
+                        ),
+                    )
+                    break
                 if not line:
                     break
                 if not line.strip():
@@ -355,7 +342,7 @@ class ServiceFrontend:
                     )
                     continue
                 pending = _Pending(frame=frame, future=loop.create_future())
-                lane = READ_LANE if frame["op"] in self.read_lane_ops else WRITE_LANE
+                lane = READ_LANE if frame["op"] in READ_OPS else WRITE_LANE
                 if not self.queue.offer(pending, lane=lane):
                     # The backpressure fast path: the queue bound was hit, the
                     # client hears about it now instead of waiting in line.
@@ -385,7 +372,10 @@ class ServiceFrontend:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
+            except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
+                # stop() may cancel a reader that is already closing here;
+                # as above, the connection is done, and a task ending
+                # cancelled makes asyncio log a spurious traceback.
                 pass
 
     async def _respond(

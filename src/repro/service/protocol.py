@@ -43,6 +43,13 @@ OPERATIONS = frozenset(
     {"join", "leave", "sample", "broadcast", "status", "ping", "shutdown"}
 )
 
+#: Operations the front-end queues on the read lane.  They never change
+#: engine state and draw only from the session's private read stream, so
+#: they may be served beside an in-flight write window on either backend.
+#: ``join``/``leave`` form the ordered write lane; ``shutdown`` is answered
+#: by the front-end itself.
+READ_OPS = frozenset({"sample", "broadcast", "status", "ping"})
+
 #: The closed set of response error codes.
 ERROR_BAD_REQUEST = "bad_request"
 ERROR_UNKNOWN_OP = "unknown_op"

@@ -36,9 +36,9 @@ class RequestQueue:
     parks the consumer until items arrive or the queue is closed.
 
     ``lanes`` splits the queue into that many independent FIFOs behind one
-    shared bound and one wakeup (the sharded pump's write/read split: lane
+    shared bound and one wakeup (the engine pump's write/read split: lane
     order is preserved *within* a lane; the consumer chooses the drain
-    order across lanes).  The default single lane is the classic queue.
+    order across lanes).
     """
 
     def __init__(self, maxsize: int = DEFAULT_MAX_QUEUE, lanes: int = 1) -> None:

@@ -4,18 +4,23 @@
 that external requests drive, the :class:`~repro.scenarios.bus.
 ObservationBus` its churn events are published to (so trace recording and
 measurement probes work exactly as in batch runs), and the **service RNG**
-— a private :class:`random.Random` stream that answers every non-churn
-request.
+— private :class:`random.Random` streams for everything the engine stream
+must not answer.
 
 Determinism contract (why the service RNG exists): the engine stream
 (``state.rng``) is part of the state fingerprint and must be consumed only
 by ``apply_event`` — that is what makes a recorded trace replayable by
-re-applying its event frames.  A live service also serves *reads* (sample,
-broadcast) that need randomness but are not part of the trace; drawing them
-from the engine stream would make the recorded run unreplayable.  Every
-read therefore draws from ``random.Random(seed + SERVICE_RNG_OFFSET)``,
-extending the scenario seed discipline (seed → engine, +1 workload,
-+2 adversary, +3 mixer, +4 service reads).
+re-applying its event frames.  A live service also needs randomness the
+trace does not hold: the leaver of an anonymous ``leave`` (recorded only as
+its concrete id) draws from ``random.Random(seed + SERVICE_RNG_OFFSET)``,
+and the reads (sample, broadcast) from a separate
+``random.Random(seed + SERVICE_READ_RNG_OFFSET)``.  This extends the
+scenario seed discipline (seed → engine, +1 workload, +2 adversary,
++3 mixer, +4 service writes, +5 service reads).  Because reads have their
+own stream, any interleaving of reads leaves the write lane's draws — and
+so the trace and the state hash — bit-identical, which is what lets the
+front-end serve reads beside writes (the same contract as
+:class:`~repro.service.sharded.ShardedLiveSession`).
 
 Pre-flight validation (why requests cannot fail inside the engine):
 ``apply_event`` advances protocol time *before* executing the operation, so
@@ -29,7 +34,7 @@ fail.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..apps.broadcast import ClusteredBroadcast
 from ..apps.sampling import SamplingService
@@ -42,9 +47,13 @@ from ..trace.codec import DEFAULT_FLUSH_EVERY
 from ..trace.probes import TraceProbe
 from .protocol import ERROR_FAILED, ProtocolError
 
-#: Seed offset of the service read stream (continues the Scenario fan-out:
-#: seed → engine, +1 workload, +2 adversary, +3 mixer, +4 service).
+#: Seed offset of the service write stream, which picks anonymous leavers
+#: (continues the Scenario fan-out: seed → engine, +1 workload, +2
+#: adversary, +3 mixer, +4 service writes, +5 service reads).
 SERVICE_RNG_OFFSET = 4
+
+#: Seed offset of the service read stream (sample and broadcast draws).
+SERVICE_READ_RNG_OFFSET = 5
 
 
 def live_scenario(
@@ -58,13 +67,9 @@ def live_scenario(
     """The default scenario a live service runs: engine only, no workload.
 
     Events come from clients, not a generator, so ``workload`` is ``None``
-    and ``steps`` is 0; ``record_history`` is off because a service runs
-    indefinitely and the per-event history list would grow without bound.
-    The scenario still rides in the trace header, so ``replay`` rebuilds
-    the identical engine from it.
+    and ``steps`` is 0.  The scenario still rides in the trace header, so
+    ``replay`` rebuilds the identical engine from it.
     """
-    options = dict(overrides.pop("engine_options", ()) or {})
-    options.setdefault("record_history", False)
     return Scenario(
         name=name,
         seed=seed,
@@ -73,20 +78,12 @@ def live_scenario(
         tau=tau,
         steps=0,
         workload=None,
-        engine_options=options,
         **overrides,
     )
 
 
 class LiveEngineSession:
     """Serialised execution of service requests against one live engine."""
-
-    #: Classic sessions run the straight-through pump, not the windowed one.
-    windowed = False
-    #: No read lane: one engine means one serialised stream for every op
-    #: (reads draw from the same service RNG the anonymous leaves use, so
-    #: reordering them around writes would perturb the recorded trace).
-    read_lane_ops = frozenset()
 
     def __init__(
         self,
@@ -103,10 +100,13 @@ class LiveEngineSession:
         if self.scenario.shards:
             raise ConfigurationError("the live service runs a single engine (shards=0)")
         self.engine = self.scenario.build_engine()
+        #: Write stream: anonymous-leave resolution.
         self.rng = random.Random(self.scenario.seed + SERVICE_RNG_OFFSET)
+        #: Read stream: sample/broadcast draws, invisible to the write lane.
+        self.read_rng = random.Random(self.scenario.seed + SERVICE_READ_RNG_OFFSET)
         self.bus = ObservationBus(self.engine, probes, buffer_size=probe_buffer)
-        self._sampling = SamplingService(self.engine, rng=self.rng)
-        self._broadcast = ClusteredBroadcast(self.engine, rng=self.rng)
+        self._sampling = SamplingService(self.engine, rng=self.read_rng)
+        self._broadcast = ClusteredBroadcast(self.engine, rng=self.read_rng)
         self._trace_probe: Optional[TraceProbe] = None
         self.events_applied = 0
         self.operations: Dict[str, int] = {}
@@ -183,6 +183,34 @@ class LiveEngineSession:
     def network_size(self) -> int:
         """Current active population (the backend-independent size view)."""
         return self.engine.network_size
+
+    # ------------------------------------------------------------------
+    # The write window (the front-end pump's contract)
+    # ------------------------------------------------------------------
+    def begin_window(self, frames: Sequence[Dict[str, Any]]) -> List[Any]:
+        """Execute one pump batch of write requests in admission order.
+
+        One engine has nothing to overlap, so the whole window runs here
+        and :meth:`finish_window` only hands the outcomes back: a result
+        dict per executed event, the :class:`ProtocolError` for a request
+        the pre-flight checks rejected.  Any other exception propagates —
+        the engine may be mid-event, so the front-end treats it as fatal.
+        """
+        outcomes: List[Any] = []
+        for frame in frames:
+            try:
+                outcomes.append(self.execute(frame))
+            except ProtocolError as error:
+                outcomes.append(error)
+        return outcomes
+
+    def finish_window(self, handle: List[Any]) -> List[Any]:
+        """The outcomes of a window :meth:`begin_window` already executed."""
+        return handle
+
+    def read_ready(self, op: str) -> bool:
+        """Reads never wait on a window: it has finished before they run."""
+        return True
 
     # ------------------------------------------------------------------
     # Request execution

@@ -8,7 +8,8 @@ batches while read-only requests are answered from coordinator-side
 snapshots (:class:`~repro.shard.serve.ShardReadModel`) without entering the
 worker round trip.
 
-The two-lane split (why :attr:`read_lane_ops` exists):
+The two-lane split (:data:`~repro.service.protocol.READ_OPS` names the
+read lane):
 
 * the **write lane** (join/leave) is ordered and windowed — the front-end
   hands each drained batch to :meth:`begin_window`, which pre-validates
@@ -20,8 +21,8 @@ The two-lane split (why :attr:`read_lane_ops` exists):
   stream (``seed + 5``): reads are not part of the recorded trace, and
   giving them their own stream means any interleaving of reads leaves the
   write lane's draws — and therefore the trace and the composite state
-  hash — bit-identical.  (The classic single-engine session serves reads
-  from the write stream; it has no concurrency to protect.)
+  hash — bit-identical.  The classic single-engine session keeps the same
+  two streams.
 
 Windows never straddle a multiple of the coordinator's ``barrier_interval``
 (:meth:`~repro.shard.coordinator.ShardCoordinator.events_until_barrier`),
@@ -46,13 +47,8 @@ from ..shard.coordinator import ShardCoordinator
 from ..shard.serve import ShardReadModel
 from ..trace.codec import DEFAULT_FLUSH_EVERY
 from ..trace.log import DEFAULT_INDEX_EVERY, TraceWriter
-from .protocol import ERROR_FAILED, ProtocolError
-from .session import SERVICE_RNG_OFFSET, live_scenario
-
-#: Seed offset of the read lane's private stream (the fan-out continues:
-#: seed → engine, +1 workload, +2 adversary, +3 mixer, +4 service writes,
-#: +5 service reads).
-SERVICE_READ_RNG_OFFSET = 5
+from .protocol import ERROR_FAILED, READ_OPS, ProtocolError
+from .session import SERVICE_READ_RNG_OFFSET, SERVICE_RNG_OFFSET, live_scenario
 
 #: Default logical shard count of a sharded live service (mirrors the batch
 #: CLI's default when ``--shards`` is given without a spec value).
@@ -100,11 +96,6 @@ class _WindowHandle:
 
 class ShardedLiveSession:
     """Serialised execution of service requests against a shard coordinator."""
-
-    #: Marks the windowed (dispatch/collect) pump contract for the front-end.
-    windowed = True
-    #: Operations served from the read lane, off the write window's path.
-    read_lane_ops = frozenset({"sample", "broadcast", "status", "ping"})
 
     def __init__(
         self,
@@ -479,7 +470,7 @@ class ShardedLiveSession:
             raise ConfigurationError("session is closed")
         self.start()
         op = frame["op"]
-        if op in self.read_lane_ops:
+        if op in READ_OPS:
             handler = self._READ_HANDLERS[op]
             result = handler(self, frame)
             self.operations[op] = self.operations.get(op, 0) + 1

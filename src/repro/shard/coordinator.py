@@ -311,11 +311,6 @@ class ShardCoordinator:
                 f"sharded execution supports the 'now' engine only, not "
                 f"{scenario.engine!r}"
             )
-        if scenario.keep_reports:
-            raise ConfigurationError(
-                "keep_reports is not supported under sharded execution "
-                "(per-event MaintenanceReports are shard-local)"
-            )
         adversary = scenario.adversary
         if adversary is not None:
             kind = adversary.get("kind")
@@ -565,7 +560,6 @@ class ShardCoordinator:
             compromised_clusters=self.merger.compromised(),
             stop_reason=stop_reason,
             probes={probe.name: probe.result() for probe in self.probes},
-            reports=[],
             shards=self.shards,
         )
 

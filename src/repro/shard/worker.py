@@ -24,10 +24,9 @@ a small command protocol:
 
 Workers never see global state: every event arrives naming a *global* node
 id, and the slot's ``g2l``/``l2g`` maps translate to the shard-local
-identity space.  A shard engine runs with ``record_history`` and
-``enforce_size_range`` forced off — histories don't scale to million-event
-runs, and the paper's size range constrains the *composite* population, not
-an individual slice.
+identity space.  A shard engine runs with ``enforce_size_range`` forced
+off: the paper's size range constrains the *composite* population, not an
+individual slice.
 
 :class:`InlineTransport` executes commands in-process (``workers=1``, the
 correctness oracle); :class:`ProcessTransport` runs the same worker behind a
@@ -67,7 +66,6 @@ def _shard_engine_config(engine_options: Dict[str, Any]) -> EngineConfig:
     options = dict(engine_options)
     if isinstance(options.get("walk_mode"), str):
         options["walk_mode"] = WalkMode(options["walk_mode"])
-    options["record_history"] = False
     options["enforce_size_range"] = False
     return EngineConfig(**options)
 

@@ -174,7 +174,6 @@ def resume_from_checkpoint(
         source,
         probes=attached,
         max_idle_streak=scenario.max_idle_streak,
-        keep_reports=scenario.keep_reports,
         name=scenario.name,
     )
     # Seed the cumulative counters so continued checkpoints carry totals

@@ -11,9 +11,10 @@ here produce such event streams:
   ``sqrt(N) -> N`` polynomial expansion of E6),
 * :class:`ShrinkWorkload`      — monotone shrink towards a target size,
 * :class:`OscillatingWorkload` — repeated polynomial expansion/contraction,
-* :func:`drive` / :class:`MixedDriver` — run one or several event sources
-  (workloads and adversaries share the same per-step interface) against an
-  engine,
+* :class:`MixedDriver`         — interleave several event sources
+  (workloads and adversaries share the same per-step interface); the
+  :class:`~repro.scenarios.runner.SimulationRunner` drives it like any
+  other source,
 * :class:`PoissonArrivals` / :class:`LogNormalSessions` / arrival traces —
   wall-clock open-loop arrival schedules for the live service's load
   generator, optionally modulated by a :class:`DiurnalProfile`
@@ -36,7 +37,7 @@ from .churn import (
     ShrinkWorkload,
     UniformChurn,
 )
-from .traces import MixedDriver, drive
+from .traces import MixedDriver
 
 __all__ = [
     "ChurnWorkload",
@@ -45,7 +46,6 @@ __all__ = [
     "ShrinkWorkload",
     "OscillatingWorkload",
     "MixedDriver",
-    "drive",
     "Arrival",
     "DiurnalProfile",
     "LogNormalSessions",

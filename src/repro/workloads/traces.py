@@ -1,50 +1,29 @@
-"""Drivers: run one or several event sources against an engine.
+"""Mixing several event sources into one per-step stream.
 
 Workloads (:mod:`repro.workloads.churn`) and adversaries
 (:mod:`repro.adversary`) expose the same per-step interface — "give me the
 next event for this system" — but adversaries receive an
 :class:`~repro.adversary.base.AdversaryContext` while workloads receive the
-engine directly.  The helpers here paper over that difference so experiments
-can interleave background churn with an attack using a single loop.
+engine directly.  :class:`MixedDriver` papers over that difference so an
+experiment can interleave background churn with an attack; the step loop
+itself is :class:`~repro.scenarios.runner.SimulationRunner`'s.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..adversary.base import Adversary, AdversaryContext
 from ..core.events import ChurnEvent
 from ..errors import ConfigurationError
-from .churn import ChurnWorkload
 
 
 def _next_event(source, engine) -> Optional[ChurnEvent]:
-    """Ask ``source`` (workload or adversary) for its next event."""
+    """Ask ``source`` (adversary, or anything with ``next_event(engine)``)."""
     if isinstance(source, Adversary):
         return source.next_event(AdversaryContext(engine))
-    if isinstance(source, ChurnWorkload):
-        return source.next_event(engine)
-    # Duck-typed source: anything with a next_event(engine) method.
     return source.next_event(engine)
-
-
-def drive(engine, source, steps: int) -> List:
-    """Run a single event source against ``engine`` for ``steps`` time steps.
-
-    Steps on which the source returns ``None`` are skipped (no event, no time
-    advance), matching the paper's "or nothing occurs" case.
-    Returns the per-step reports produced by the engine.
-
-    This is a thin convenience wrapper over
-    :class:`~repro.scenarios.runner.SimulationRunner`, which owns the step
-    loop (and supports probes and stop conditions for anything beyond a
-    fixed-step drive).
-    """
-    from ..scenarios.runner import SimulationRunner  # local import: avoids a cycle
-
-    runner = SimulationRunner(engine, source, keep_reports=True, name="drive")
-    return runner.run(steps).reports
 
 
 class MixedDriver:
@@ -87,10 +66,6 @@ class MixedDriver:
             if event is not None:
                 return event
         return None
-
-    def run(self, engine, steps: int) -> List:
-        """Drive ``engine`` for ``steps`` steps with the mixed stream."""
-        return drive(engine, self, steps)
 
     # ------------------------------------------------------------------
     # Checkpoint serialisation (repro.trace)

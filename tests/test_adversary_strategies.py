@@ -17,6 +17,7 @@ from repro.adversary import (
 from repro.baselines import NoShuffleEngine
 from repro.core.events import ChurnKind
 from repro.network.node import NodeRole
+from repro.scenarios import SimulationRunner
 
 
 @pytest.fixture
@@ -70,7 +71,7 @@ class TestJoinLeaveAttack:
         """NOW's shuffling keeps the targeted cluster honest-majority."""
         target = attack_engine.state.clusters.cluster_ids()[0]
         attack = JoinLeaveAttack(random.Random(1), target_cluster=target)
-        attack.run(attack_engine, steps=60)
+        SimulationRunner(attack_engine, attack).run(60)
         if target in attack_engine.state.clusters:
             assert attack_engine.state.cluster_byzantine_fraction(target) < 0.5
 
@@ -81,7 +82,7 @@ class TestJoinLeaveAttack:
         )
         target = baseline.state.clusters.cluster_ids()[0]
         attack = JoinLeaveAttack(random.Random(1), target_cluster=target)
-        attack.run(baseline, steps=120)
+        SimulationRunner(baseline, attack).run(120)
         assert baseline.worst_cluster_fraction() >= 1.0 / 3.0
 
     def test_idles_when_no_controlled_nodes(self):
@@ -105,7 +106,7 @@ class TestTargetedDos:
 
     def test_run_keeps_now_safe(self, attack_engine):
         adversary = TargetedDosAdversary(random.Random(2))
-        adversary.run(attack_engine, steps=40)
+        SimulationRunner(attack_engine, adversary).run(40)
         assert attack_engine.worst_cluster_fraction() < 0.5
 
     def test_name(self):
@@ -131,6 +132,6 @@ class TestAdaptiveCorruption:
     def test_grows_global_fraction(self, attack_engine):
         adversary = AdaptiveCorruptionAdversary(random.Random(4))
         before = attack_engine.state.nodes.byzantine_fraction()
-        adversary.run(attack_engine, steps=30)
+        SimulationRunner(attack_engine, adversary).run(30)
         after = attack_engine.state.nodes.byzantine_fraction()
         assert after > before

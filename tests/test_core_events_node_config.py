@@ -72,7 +72,6 @@ class TestEngineConfig:
         assert config.walk_mode is WalkMode.ORACLE
         assert config.cascade_exchanges is True
         assert config.strict_compromise is False
-        assert config.record_history is True
         assert config.enforce_size_range is False
 
     def test_enforce_size_range_raises_outside_band(self):

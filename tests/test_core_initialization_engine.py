@@ -123,23 +123,6 @@ class TestNowEngineBasics:
         assert len(reports) == 3
         assert small_engine.state.time_step == 3
 
-    def test_history_recording_toggle(self, small_params):
-        engine = NowEngine.bootstrap(
-            small_params,
-            initial_size=120,
-            byzantine_fraction=0.1,
-            seed=42,
-            config=EngineConfig(record_history=False),
-        )
-        engine.join()
-        assert engine.history == []
-
-    def test_history_recorded_by_default(self, small_engine):
-        small_engine.join()
-        small_engine.join()
-        assert len(small_engine.history) == 2
-        assert small_engine.history[-1].time_step == 2
-
     def test_byzantine_join_recorded_in_registry(self, small_engine):
         report = small_engine.join(role=NodeRole.BYZANTINE)
         node_id = report.operation.node_id

@@ -21,7 +21,8 @@ from repro import NowEngine, default_parameters
 from repro.core.state import SystemState
 from repro.errors import ConfigurationError
 from repro.network.node import NodeRole
-from repro.workloads import UniformChurn, drive
+from repro.scenarios import SimulationRunner
+from repro.workloads import UniformChurn
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +159,7 @@ class TestEngineLevelParity:
         params = default_parameters(max_size=1024, k=2.0, tau=0.15, epsilon=0.05)
         engine = NowEngine.bootstrap(params, initial_size=120, byzantine_fraction=0.15, seed=11)
         workload = UniformChurn(random.Random(12), byzantine_join_fraction=0.15)
-        drive(engine, workload, steps=120)
+        SimulationRunner(engine, workload).run(120)
         assert_counters_match(engine.state)
 
     def test_now_engine_counters_survive_adaptive_corruption(self):
@@ -182,7 +183,7 @@ class TestEngineLevelParity:
             params, initial_size=100, byzantine_fraction=0.2, seed=31
         )
         workload = UniformChurn(random.Random(32), byzantine_join_fraction=0.2)
-        drive(engine, workload, steps=120)
+        SimulationRunner(engine, workload).run(120)
         assert_counters_match(engine.state)
 
 

@@ -13,12 +13,12 @@ import pytest
 
 from repro import EngineConfig, NowEngine, default_parameters
 from repro.adversary import JoinLeaveAttack, TargetedDosAdversary
-from repro.analysis import summarize_fractions
 from repro.apps import AggregationService, ClusteredBroadcast
 from repro.baselines import NoShuffleEngine, StaticClusterEngine
 from repro.network.node import NodeRole
 from repro.overlay.expansion import analyse_expansion
-from repro.workloads import GrowthWorkload, MixedDriver, UniformChurn, drive
+from repro.scenarios import SimulationRunner
+from repro.workloads import GrowthWorkload, MixedDriver, UniformChurn
 
 try:
     import numpy as _np
@@ -43,12 +43,11 @@ class TestTheorem3Miniature:
         params = make_params(tau=0.1)
         engine = NowEngine.bootstrap(params, initial_size=200, byzantine_fraction=0.1, seed=11)
         workload = UniformChurn(random.Random(12), byzantine_join_fraction=0.1)
-        drive(engine, workload, steps=120)
-        worst_per_step = [report.worst_byzantine_fraction for report in engine.history]
-        summary = summarize_fractions(worst_per_step)
+        result = SimulationRunner(engine, workload).run(120)
         # With tau = 0.10 and clusters of ~33 nodes, no cluster should ever
         # approach one third over a short run.
-        assert summary.maximum < 1.0 / 3.0
+        assert result.events == 120
+        assert result.peak_worst_fraction < 1.0 / 3.0
         assert engine.check_invariants().holds
 
     def test_full_exchange_resets_a_polluted_cluster(self):
@@ -83,8 +82,12 @@ class TestJoinLeaveAttackComparison:
         now_target = now_engine.state.clusters.cluster_ids()[0]
         base_target = baseline.state.clusters.cluster_ids()[0]
 
-        JoinLeaveAttack(random.Random(1), target_cluster=now_target).run(now_engine, steps=80)
-        JoinLeaveAttack(random.Random(1), target_cluster=base_target).run(baseline, steps=80)
+        SimulationRunner(
+            now_engine, JoinLeaveAttack(random.Random(1), target_cluster=now_target)
+        ).run(80)
+        SimulationRunner(
+            baseline, JoinLeaveAttack(random.Random(1), target_cluster=base_target)
+        ).run(80)
 
         baseline_fraction = (
             baseline.state.cluster_byzantine_fraction(base_target)
@@ -105,7 +108,7 @@ class TestJoinLeaveAttackComparison:
             ],
             random.Random(34),
         )
-        mixed.run(engine, steps=100)
+        SimulationRunner(engine, mixed).run(100)
         assert engine.check_invariants(check_honest_majority=False).holds
         assert engine.worst_cluster_fraction() < 0.5
 
@@ -122,8 +125,9 @@ class TestPolynomialGrowth:
         static = StaticClusterEngine.bootstrap(
             params, initial_size=start, byzantine_fraction=0.1, seed=41
         )
-        drive(now_engine, GrowthWorkload(random.Random(42), target_size=target), steps=600)
-        drive(static, GrowthWorkload(random.Random(42), target_size=target), steps=600)
+        static_clusters = static.cluster_count
+        SimulationRunner(now_engine, GrowthWorkload(random.Random(42), target_size=target)).run(600)
+        SimulationRunner(static, GrowthWorkload(random.Random(42), target_size=target)).run(600)
 
         assert now_engine.network_size == target
         assert static.network_size == target
@@ -132,7 +136,7 @@ class TestPolynomialGrowth:
         static_max = static.max_cluster_size()
         assert now_max <= params.split_threshold
         assert static_max > now_max
-        assert static.cluster_count == static.history[0].cluster_count
+        assert static.cluster_count == static_clusters
         assert now_engine.cluster_count > static.cluster_count
         # The maintained overlay is still a healthy expander.
         report = analyse_expansion(now_engine.state.overlay.graph)
@@ -146,7 +150,7 @@ class TestApplicationsEndToEnd:
     def test_broadcast_and_aggregation_after_churn(self):
         params = make_params(tau=0.1)
         engine = NowEngine.bootstrap(params, initial_size=200, byzantine_fraction=0.1, seed=51)
-        drive(engine, UniformChurn(random.Random(52), byzantine_join_fraction=0.1), steps=60)
+        SimulationRunner(engine, UniformChurn(random.Random(52), byzantine_join_fraction=0.1)).run(60)
 
         broadcast = ClusteredBroadcast(engine).broadcast("announcement")
         assert broadcast.coverage(engine.cluster_count) == pytest.approx(1.0)
@@ -166,5 +170,5 @@ class TestApplicationsEndToEnd:
             seed=61,
             config=EngineConfig(strict_compromise=True),
         )
-        drive(engine, UniformChurn(random.Random(62), byzantine_join_fraction=0.05), steps=40)
+        SimulationRunner(engine, UniformChurn(random.Random(62), byzantine_join_fraction=0.05)).run(40)
         assert engine.check_invariants().holds

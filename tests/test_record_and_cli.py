@@ -1,94 +1,10 @@
-"""Unit tests for run recording/serialisation and the command-line interface."""
+"""Unit tests for the command-line interface."""
 
 from __future__ import annotations
 
-import json
-import random
-
 import pytest
 
-from repro import NowEngine, default_parameters
-from repro.baselines import NoShuffleEngine
 from repro.cli import build_parser, main
-from repro.workloads import UniformChurn, drive
-from repro.workloads.record import RunRecord, compare_runs, load_run, parameters_to_dict
-
-try:
-    import numpy as _np
-except ImportError:
-    _np = None
-
-requires_numpy = pytest.mark.skipif(
-    _np is None, reason="requires numpy (least-squares complexity fits)"
-)
-
-
-@pytest.fixture
-def recorded_engine():
-    params = default_parameters(max_size=1024, k=2.0, tau=0.1, epsilon=0.05)
-    engine = NowEngine.bootstrap(params, initial_size=120, byzantine_fraction=0.1, seed=3)
-    drive(engine, UniformChurn(random.Random(4), byzantine_join_fraction=0.1), steps=15)
-    return engine
-
-
-class TestRunRecord:
-    def test_from_engine_captures_every_step(self, recorded_engine):
-        record = RunRecord.from_engine(recorded_engine, label="demo")
-        assert record.label == "demo"
-        assert len(record.steps) == len(recorded_engine.history) == 15
-        assert record.metadata["final_network_size"] == recorded_engine.network_size
-        assert record.parameters["max_size"] == 1024
-
-    def test_trajectory_views(self, recorded_engine):
-        record = RunRecord.from_engine(recorded_engine, label="demo")
-        worst = record.worst_fractions()
-        sizes = record.network_sizes()
-        assert len(worst) == len(sizes) == 15
-        assert all(0.0 <= value <= 1.0 for value in worst)
-        summary = record.corruption_summary()
-        assert summary.count == 15
-        assert record.unsafe_steps() == summary.steps_above_threshold
-
-    def test_operation_details_recorded(self, recorded_engine):
-        record = RunRecord.from_engine(recorded_engine, label="demo")
-        step = record.steps[0]
-        assert step["operation"]["messages"] > 0
-        assert step["operation"]["name"] in ("join", "leave")
-        assert step["event_kind"] in ("join", "leave")
-
-    def test_baseline_history_is_recordable(self):
-        params = default_parameters(max_size=1024, k=2.0, tau=0.1, epsilon=0.05)
-        baseline = NoShuffleEngine.bootstrap(params, initial_size=100, seed=5)
-        baseline.join()
-        baseline.leave(baseline.random_member())
-        record = RunRecord.from_engine(baseline, label="baseline")
-        assert len(record.steps) == 2
-        assert "operation" not in record.steps[0]
-
-    def test_json_round_trip(self, recorded_engine, tmp_path):
-        record = RunRecord.from_engine(recorded_engine, label="demo", metadata={"note": "x"})
-        path = tmp_path / "run.json"
-        record.save(str(path))
-        loaded = load_run(str(path))
-        assert loaded.label == record.label
-        assert loaded.steps == record.steps
-        assert loaded.metadata["note"] == "x"
-        # The file itself is valid, plain JSON.
-        parsed = json.loads(path.read_text())
-        assert parsed["label"] == "demo"
-
-    def test_compare_runs(self, recorded_engine):
-        first = RunRecord.from_engine(recorded_engine, label="a")
-        second = RunRecord.from_engine(recorded_engine, label="b")
-        rows = compare_runs([first, second])
-        assert [row["label"] for row in rows] == ["a", "b"]
-        assert all("mean_worst" in row for row in rows)
-
-    def test_parameters_to_dict_contains_derived_values(self):
-        params = default_parameters(max_size=2048, k=3.0, tau=0.1, epsilon=0.05)
-        data = parameters_to_dict(params)
-        assert data["target_cluster_size"] == params.target_cluster_size
-        assert data["split_threshold"] == params.split_threshold
 
 
 class TestCli:
@@ -96,72 +12,6 @@ class TestCli:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args([])
-
-    def test_churn_command_runs_and_saves(self, tmp_path, capsys):
-        out_file = tmp_path / "run.json"
-        code = main(
-            [
-                "--seed",
-                "2",
-                "churn",
-                "--max-size",
-                "1024",
-                "--initial-size",
-                "120",
-                "--tau",
-                "0.1",
-                "--steps",
-                "12",
-                "--k",
-                "2.0",
-                "--save",
-                str(out_file),
-            ]
-        )
-        captured = capsys.readouterr().out
-        assert code == 0
-        assert "NOW under uniform churn" in captured
-        assert "structural invariants: OK" in captured
-        assert out_file.exists()
-        assert load_run(str(out_file)).steps
-
-    def test_attack_command_reports_both_schemes(self, capsys):
-        code = main(
-            [
-                "--seed",
-                "3",
-                "attack",
-                "--max-size",
-                "1024",
-                "--initial-size",
-                "120",
-                "--tau",
-                "0.2",
-                "--steps",
-                "60",
-            ]
-        )
-        captured = capsys.readouterr().out
-        assert code == 0
-        assert "NOW (full exchange)" in captured
-        assert "no shuffling" in captured
-
-    @requires_numpy
-    def test_costs_command_fits_exponents(self, capsys):
-        code = main(
-            [
-                "costs",
-                "--sizes",
-                "256",
-                "1024",
-                "--operations",
-                "4",
-            ]
-        )
-        captured = capsys.readouterr().out
-        assert code == 0
-        assert "growth exponents in N" in captured
-        assert "join msgs" in captured
 
 
 class TestRunScenarioCommand:

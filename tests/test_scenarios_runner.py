@@ -39,11 +39,11 @@ class TestSimulationRunner:
         assert result.final_size > 0
         assert result.events_per_second > 0
 
-    def test_keep_reports_returns_per_step_reports(self):
-        scenario = small_scenario(steps=10, keep_reports=True)
-        result = scenario.run()
-        assert len(result.reports) == result.events
-        assert all(hasattr(report, "worst_byzantine_fraction") for report in result.reports)
+    def test_callback_probe_collects_per_step_reports(self):
+        probe = CallbackProbe(lambda engine, report, step: report)
+        result = small_scenario(steps=10).run(probes=[probe])
+        assert len(probe.values) == result.events
+        assert all(hasattr(report, "worst_byzantine_fraction") for report in probe.values)
 
     def test_idle_streak_stops_finite_workloads(self):
         scenario = small_scenario(
@@ -211,11 +211,12 @@ class TestScenario:
             named_scenario("does-not-exist")
 
     def test_seed_reproducibility(self):
-        first = small_scenario(steps=15, keep_reports=True).run()
-        second = small_scenario(steps=15, keep_reports=True).run()
-        assert [r.network_size for r in first.reports] == [
-            r.network_size for r in second.reports
+        sizes = [
+            CallbackProbe(lambda engine, report, step: report.network_size) for _ in range(2)
         ]
+        first = small_scenario(steps=15).run(probes=[sizes[0]])
+        second = small_scenario(steps=15).run(probes=[sizes[1]])
+        assert sizes[0].values == sizes[1].values
         assert first.final_worst_fraction == second.final_worst_fraction
 
 

@@ -106,6 +106,39 @@ class TestRequestResponse:
 
         asyncio.run(scenario())
 
+    def test_oversized_frame_answers_bad_request_and_closes(self, caplog):
+        """A line past the StreamReader limit is refused, never a traceback."""
+        from repro.service.frontend import MAX_FRAME_BYTES
+
+        async def scenario():
+            frontend = ServiceFrontend(make_session(), port=0)
+            await frontend.start()
+            try:
+                reader, writer = await connect(frontend)
+                oversized = json.dumps({"op": "ping", "id": 1, "pad": "x" * 70 * 1024})
+                assert len(oversized) > MAX_FRAME_BYTES
+                writer.write(oversized.encode("utf-8") + b"\n")
+                await writer.drain()
+                reply = json.loads(await asyncio.wait_for(reader.readline(), timeout=5))
+                assert reply["ok"] is False
+                assert reply["error"] == "bad_request"
+                assert str(MAX_FRAME_BYTES) in reply["message"]
+                # ...and the server hangs up on that connection.
+                assert await asyncio.wait_for(reader.read(), timeout=5) == b""
+                await close_writer(writer)
+                # A fresh connection is still served.
+                reader, writer = await connect(frontend)
+                pong = await rpc(reader, writer, {"op": "ping", "id": 2})
+                assert pong["ok"]
+                await close_writer(writer)
+            finally:
+                await frontend.stop()
+
+        with caplog.at_level("ERROR", logger="asyncio"):
+            asyncio.run(scenario())
+        assert "Unhandled exception" not in caplog.text
+        assert not [r for r in caplog.records if r.exc_info]
+
     def test_engine_rejection_is_failed_not_fatal(self):
         async def scenario():
             frontend = ServiceFrontend(make_session(), port=0)
@@ -261,6 +294,70 @@ class TestShutdown:
             await frontend.stop()
             await frontend.stop()
             assert frontend.session.closed
+
+        asyncio.run(scenario())
+
+
+class TestEngineFailure:
+    def test_write_path_exception_is_fatal_and_seals_trace(self, tmp_path):
+        """An engine error mid-event fails the batch and stops the server."""
+        from repro.trace import TraceReader, replay_trace
+
+        path = str(tmp_path / "crash.jsonl")
+
+        async def scenario():
+            session = make_session()
+            session.attach_trace(path)
+            frontend = ServiceFrontend(session, port=0)
+            await frontend.start()
+            reader, writer = await connect(frontend)
+            first = await rpc(reader, writer, {"op": "join", "id": "warm"})
+            assert first["ok"]
+
+            def broken(event):
+                raise RuntimeError("engine fault")
+
+            session.engine.apply_event = broken
+            for index in range(6):
+                writer.write(encode_frame({"op": "join", "id": index}))
+            await writer.drain()
+            responses = []
+            for _ in range(6):
+                line = await asyncio.wait_for(reader.readline(), timeout=5)
+                assert line, "connection hung instead of failing the request"
+                responses.append(json.loads(line))
+            assert all(not r["ok"] for r in responses)
+            assert all(r["error"] in ("failed", "shutting_down") for r in responses)
+            assert "engine fault" in responses[0]["message"]
+            await close_writer(writer)
+            with pytest.raises(RuntimeError, match="engine fault"):
+                await frontend.stop()
+            assert session.closed
+
+        asyncio.run(scenario())
+        assert TraceReader(path).end_frame() is None
+        assert replay_trace(path).ok
+
+    def test_read_failure_answers_failed_and_keeps_serving(self):
+        async def scenario():
+            session = make_session()
+            frontend = ServiceFrontend(session, port=0)
+            await frontend.start()
+            try:
+                reader, writer = await connect(frontend)
+
+                def broken():
+                    raise RuntimeError("sampler fault")
+
+                session._sampling.sample = broken
+                response = await rpc(reader, writer, {"op": "sample", "id": 1})
+                assert response["error"] == "failed"
+                assert "sampler fault" in response["message"]
+                joined = await rpc(reader, writer, {"op": "join", "id": 2})
+                assert joined["ok"]
+                await close_writer(writer)
+            finally:
+                await frontend.stop()
 
         asyncio.run(scenario())
 

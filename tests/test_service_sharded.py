@@ -32,6 +32,7 @@ from repro.service.protocol import ProtocolError
 from repro.shard import ShardWorkerError, replay_sharded_trace
 from repro.shard.worker import ProcessTransport
 from repro.trace import TraceReader, replay_trace
+from repro.trace.hashing import state_hash
 
 #: Small enough to run fast, large enough to respect the per-shard slice
 #: floor (two target clusters per shard at max_size=256).
@@ -154,7 +155,9 @@ class TestWorkerCountEquivalence:
         leaver from the same ``seed + 4`` stream over the same registry
         sampling array) must agree on the assigned node, the time step and
         the network size.  Cluster observables legitimately differ: shard
-        engines partition the population.
+        engines partition the population.  The classic run interleaves
+        samples, which draw from the ``seed + 5`` read stream on both
+        backends and so must not move any anonymous leaver.
         """
         frames = frames_from_ops(
             ["join"] * 40 + ["leave", "join", "leave", "byzantine-join"] * 10
@@ -163,6 +166,7 @@ class TestWorkerCountEquivalence:
         expected = []
         for frame in frames:
             result = classic.execute(frame)
+            classic.execute({"op": "sample", "id": "read"})
             expected.append(
                 (result["node_id"], result["time_step"], result["network_size"])
             )
@@ -177,14 +181,27 @@ class TestWorkerCountEquivalence:
         assert got == expected
 
 
+def make_classic_session(seed: int = 9) -> LiveEngineSession:
+    return LiveEngineSession(live_scenario(seed=seed, **SIZES))
+
+
+def session_state_hash(session) -> str:
+    if isinstance(session, LiveEngineSession):
+        return state_hash(session.engine)
+    return session.state_hash()
+
+
 class TestReadLane:
-    def test_interleaved_reads_leave_write_lane_bit_identical(self, tmp_path):
+    # Test ids: s = sharded, c = classic session.
+    @pytest.mark.parametrize("make", [make_session, make_classic_session], ids=["s", "c"])
+    def test_interleaved_reads_leave_write_lane_bit_identical(self, tmp_path, make):
         """Samples between writes perturb neither the trace nor the hash.
 
         The frontend drains the two lanes separately, so a write batch is
         composed of writes only — reads that arrived among them are served
         around the same window.  With identical write batching, the mixed
-        run's trace must equal the writes-only run's trace byte for byte.
+        run's trace must equal the writes-only run's trace byte for byte,
+        on both backends: each keeps its reads on a private stream.
         """
         writes = frames_from_ops(["join"] * 25 + ["leave"] * 5 + ["join"] * 10)
         # Reads attached to the write index they arrive after.
@@ -195,7 +212,7 @@ class TestReadLane:
         }
 
         def run(with_reads: bool, path: str):
-            session = make_session(seed=21)
+            session = make(seed=21)
             write_outcomes = []
             try:
                 session.attach_trace(path, index_every=10)
@@ -215,7 +232,7 @@ class TestReadLane:
                     write_outcomes.extend(session.finish_window(handle))
                     for frame in deferred:
                         session.execute(frame)
-                state = session.state_hash()
+                state = session_state_hash(session)
             finally:
                 session.close()
             with open(path, "rb") as handle:

@@ -209,11 +209,6 @@ def test_coordinator_rejects_inline_probes():
         ShardCoordinator(_sharded_scenario(), probes=[probe])
 
 
-def test_coordinator_rejects_keep_reports():
-    with pytest.raises(ConfigurationError, match="keep_reports"):
-        ShardCoordinator(_sharded_scenario(keep_reports=True))
-
-
 def test_coordinator_rejects_undersized_slices():
     # 200 nodes over 4 shards = 50 per slice, below the 2-cluster minimum
     # (2 x 24 = 48)... 50 passes; use 8 shards (25 per slice) to trip it.

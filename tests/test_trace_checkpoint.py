@@ -285,3 +285,53 @@ class TestResumeBookkeeping:
         source = scenario.build_source(engine)
         runner = SimulationRunner(engine, source, name="t")
         assert runner.source is source
+
+
+class TestRetiredKeys:
+    """Files written before ``record_history``/``keep_reports`` were retired.
+
+    Checkpoints carried ``record_history`` in the engine config and
+    ``keep_reports`` in the scenario; live-trace headers carried both (the
+    live scenario set ``engine_options.record_history``).  Neither ever
+    affected simulated state, so such files must still resume and replay to
+    the same state hash.
+    """
+
+    def test_checkpoint_with_retired_keys_resumes_bit_identically(self, tmp_path):
+        scenario = small_scenario(steps=30)
+        path = os.path.join(str(tmp_path), "legacy.ckpt.json")
+        record_scenario(scenario, steps=12, checkpoint_path=path, checkpoint_every=10**9)
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+        data["engine"]["config"]["record_history"] = True
+        data["scenario"]["keep_reports"] = False
+        write_json_atomic(path, data)
+        resumed = resume_from_checkpoint(path, steps=18)
+        assert resumed.final_state_hash == run_straight(scenario, 30)
+
+    def test_live_trace_header_with_retired_keys_replays(self, tmp_path):
+        from repro.service import LiveEngineSession, live_scenario
+        from repro.trace import replay_trace
+
+        path = tmp_path / "legacy-live.jsonl"
+        session = LiveEngineSession(live_scenario(seed=5, initial_size=90, max_size=256))
+        session.attach_trace(str(path), index_every=5)
+        for index in range(12):
+            session.execute({"op": "leave" if index % 3 == 0 else "join", "id": index})
+        recorded = state_hash(session.engine)
+        session.close()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        header["scenario"]["keep_reports"] = False
+        header["scenario"]["engine_options"]["record_history"] = False
+        lines[0] = json.dumps(header)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        report = replay_trace(str(path))
+        assert report.ok
+        assert report.final_hash == recorded
+
+    def test_other_unknown_keys_are_still_rejected(self):
+        data = small_scenario().to_dict()
+        data["keep_history"] = True
+        with pytest.raises(ConfigurationError, match="keep_history"):
+            Scenario.from_dict(data)

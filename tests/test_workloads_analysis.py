@@ -18,7 +18,6 @@ from repro.analysis import (
     fit_power_law,
     format_table,
     recommended_k,
-    summarize_fractions,
     summarize_values,
 )
 from repro.analysis.bounds import exact_binomial_tail, expected_recovery_exchanges
@@ -35,13 +34,13 @@ requires_numpy = pytest.mark.skipif(
     _np is None, reason="requires numpy (least-squares complexity fits)"
 )
 from repro.errors import ConfigurationError
+from repro.scenarios import CallbackProbe, SimulationRunner
 from repro.workloads import (
     GrowthWorkload,
     MixedDriver,
     OscillatingWorkload,
     ShrinkWorkload,
     UniformChurn,
-    drive,
 )
 
 
@@ -54,12 +53,12 @@ def churn_engine():
 class TestWorkloads:
     def test_uniform_churn_keeps_size_roughly_stable(self, churn_engine):
         workload = UniformChurn(random.Random(1))
-        drive(churn_engine, workload, steps=40)
+        SimulationRunner(churn_engine, workload).run(40)
         assert abs(churn_engine.network_size - 120) <= 20
 
     def test_uniform_churn_respects_lower_bound(self, churn_engine):
         workload = UniformChurn(random.Random(1), join_probability=0.0)
-        drive(churn_engine, workload, steps=30)
+        SimulationRunner(churn_engine, workload).run(30)
         assert churn_engine.network_size >= min(120, churn_engine.parameters.lower_size_bound) - 30
 
     def test_uniform_churn_validates_probability(self):
@@ -68,13 +67,13 @@ class TestWorkloads:
 
     def test_growth_workload_reaches_target_then_idles(self, churn_engine):
         workload = GrowthWorkload(random.Random(2), target_size=140)
-        drive(churn_engine, workload, steps=60)
+        SimulationRunner(churn_engine, workload).run(60)
         assert churn_engine.network_size == 140
         assert workload.next_event(churn_engine) is None
 
     def test_shrink_workload_reaches_target(self, churn_engine):
         workload = ShrinkWorkload(random.Random(2), target_size=100)
-        drive(churn_engine, workload, steps=60)
+        SimulationRunner(churn_engine, workload).run(60)
         assert churn_engine.network_size == 100
 
     def test_oscillating_workload_switches_direction(self, churn_engine):
@@ -101,20 +100,22 @@ class TestWorkloads:
 class TestDrivers:
     def test_drive_returns_reports(self, churn_engine):
         workload = UniformChurn(random.Random(4))
-        reports = drive(churn_engine, workload, steps=10)
-        assert len(reports) == 10
+        probe = CallbackProbe(lambda engine, report, step: report)
+        result = SimulationRunner(churn_engine, workload, probes=[probe]).run(10)
+        assert result.events == len(probe.values) == 10
+        assert [report.time_step for report in probe.values] == list(range(1, 11))
         assert churn_engine.state.time_step == 10
 
     def test_drive_rejects_negative_steps(self, churn_engine):
         with pytest.raises(ConfigurationError):
-            drive(churn_engine, UniformChurn(random.Random(4)), steps=-1)
+            SimulationRunner(churn_engine, UniformChurn(random.Random(4))).run(-1)
 
     def test_mixed_driver_combines_sources(self, churn_engine):
         workload = UniformChurn(random.Random(5))
         adversary = ObliviousChurnAdversary(random.Random(6))
         driver = MixedDriver([(workload, 0.5), (adversary, 0.5)], random.Random(7))
-        reports = driver.run(churn_engine, steps=20)
-        assert len(reports) >= 15  # a source may occasionally idle
+        result = SimulationRunner(churn_engine, driver).run(20)
+        assert result.events >= 15  # a source may occasionally idle
 
     def test_mixed_driver_validates_inputs(self):
         with pytest.raises(ConfigurationError):
@@ -205,11 +206,6 @@ class TestStatistics:
         summary = summarize_values([])
         assert summary.count == 0
         assert summary.mean == 0.0
-
-    def test_summarize_fractions_default_threshold(self):
-        summary = summarize_fractions([0.1, 0.2, 0.4])
-        assert summary.threshold == pytest.approx(1.0 / 3.0)
-        assert summary.steps_above_threshold == 1
 
     def test_quantiles(self):
         values = sorted([1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
